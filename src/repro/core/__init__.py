@@ -40,6 +40,7 @@ from .preprocess import (
     split_by_time_gap,
 )
 from .refinement import (
+    NeighbourGraph,
     RefinementStats,
     TrajectoryCluster,
     euclidean_lower_bound,
@@ -68,6 +69,7 @@ __all__ = [
     "NEAT",
     "NEATConfig",
     "NEATResult",
+    "NeighbourGraph",
     "PRESET_BALANCED",
     "PRESET_DENSEST",
     "PRESET_FASTEST",

@@ -10,7 +10,9 @@ evaluates them for *all* ``n x n`` flow pairs at once over flat
 endpoint arrays — the batched modified-Hausdorff endpoint math — and
 returns a symmetric ``bytearray`` mask where ``mask[i * n + j] == 1``
 means pair ``(i, j)`` is provably farther than ``eps`` and safe to
-prune.
+prune.  With ``start > 0`` a kernel evaluates only the column block of
+flows ``start..n-1`` (every pair touching a flow appended since an
+earlier call): ``mask[i * (n - start) + (j - start)]`` for ``j >= start``.
 
 Two implementations per kernel, selected by the resolved backend
 (:func:`repro.vec.resolve_vector_backend`):
@@ -72,10 +74,12 @@ def elb_far_mask(
     flow_list: Sequence,
     eps: float,
     backend: str = "python",
+    start: int = 0,
 ) -> bytearray:
-    """Symmetric mask of flow pairs the Euclidean lower bound prunes.
+    """Mask of flow pairs the Euclidean lower bound prunes.
 
-    ``mask[i * n + j] == 1`` iff
+    ``mask[i * m + (j - start)] == 1`` (``m = n - start``, so the full
+    symmetric ``n x n`` mask when ``start`` is 0) iff
     ``euclidean_lower_bound(network, flow_list[i], flow_list[j]) > eps``
     — bit-for-bit the scalar decision, whichever backend runs.  The
     diagonal is always 0.
@@ -83,17 +87,18 @@ def elb_far_mask(
     from .refinement import euclidean_lower_bound
 
     n = len(flow_list)
-    mask = bytearray(n * n)
-    if n == 0:
-        return mask
+    m = n - start
+    if m <= 0:
+        return bytearray()
+    mask = bytearray(n * m)
     numpy = get_numpy() if backend == "numpy" else None
     if numpy is None:
         for i in range(n):
-            row = i * n
-            for j in range(i + 1, n):
+            for j in range(max(i + 1, start), n):
                 if euclidean_lower_bound(network, flow_list[i], flow_list[j]) > eps:
-                    mask[row + j] = 1
-                    mask[j * n + i] = 1
+                    mask[i * m + j - start] = 1
+                    if i >= start:
+                        mask[j * m + i - start] = 1
         return mask
 
     np = numpy
@@ -104,22 +109,23 @@ def elb_far_mask(
     # Squared distance between endpoint p of flow i and endpoint q of
     # flow j, minimized over the four (p, q) combinations — the squared
     # form of the scalar min-of-four hypot.
-    dx = ax[:, None, :, None] - ax[None, :, None, :]  # (2, 2, n, n)
-    dy = ay[:, None, :, None] - ay[None, :, None, :]
-    min_sq = np.min(dx * dx + dy * dy, axis=(0, 1))   # (n, n)
+    dx = ax[:, None, :, None] - ax[None, :, None, start:]  # (2, 2, n, m)
+    dy = ay[:, None, :, None] - ay[None, :, None, start:]
+    min_sq = np.min(dx * dx + dy * dy, axis=(0, 1))       # (n, m)
 
     eps_sq = eps * eps
     far = min_sq > eps_sq * (1.0 + GUARD_BAND)
     uncertain = ~far & (min_sq > eps_sq * (1.0 - GUARD_BAND))
-    np.fill_diagonal(far, False)
-    np.fill_diagonal(uncertain, False)
-    for i, j in zip(*np.nonzero(np.triu(uncertain))):
-        # In-band: settle with the exact scalar expression.
-        exact_far = (
-            euclidean_lower_bound(network, flow_list[int(i)], flow_list[int(j)])
-            > eps
+    diagonal = np.arange(m)
+    far[diagonal + start, diagonal] = False
+    uncertain[diagonal + start, diagonal] = False
+    for i, k in zip(*np.nonzero(uncertain)):
+        # In-band: settle with the exact scalar expression, evaluated in
+        # (lower index, higher index) order like the python path.
+        lo, hi = sorted((int(i), int(k) + start))
+        far[i, k] = (
+            euclidean_lower_bound(network, flow_list[lo], flow_list[hi]) > eps
         )
-        far[i, j] = far[j, i] = exact_far
     return bytearray(far.astype(np.uint8).tobytes())
 
 
@@ -128,28 +134,30 @@ def llb_far_mask(
     flow_list: Sequence,
     eps: float,
     backend: str = "python",
+    start: int = 0,
 ) -> bytearray:
-    """Symmetric mask of flow pairs the landmark lower bound prunes.
+    """Mask of flow pairs the landmark lower bound prunes.
 
-    ``mask[i * n + j] == 1`` iff
-    ``landmark_lower_bound(oracle, flow_list[i], flow_list[j]) > eps``.
+    Laid out like :func:`elb_far_mask`: ``mask[i * m + (j - start)] == 1``
+    iff ``landmark_lower_bound(oracle, flow_list[i], flow_list[j]) > eps``.
     The numpy path is *bit-identical* (not merely decision-identical):
     the bound composes only exact IEEE operations.
     """
     from .refinement import landmark_lower_bound
 
     n = len(flow_list)
-    mask = bytearray(n * n)
-    if n == 0:
-        return mask
+    m = n - start
+    if m <= 0:
+        return bytearray()
+    mask = bytearray(n * m)
     numpy = get_numpy() if backend == "numpy" else None
     if numpy is None:
         for i in range(n):
-            row = i * n
-            for j in range(i + 1, n):
+            for j in range(max(i + 1, start), n):
                 if landmark_lower_bound(oracle, flow_list[i], flow_list[j]) > eps:
-                    mask[row + j] = 1
-                    mask[j * n + i] = 1
+                    mask[i * m + j - start] = 1
+                    if i >= start:
+                        mask[j * m + i - start] = 1
         return mask
 
     np = numpy
@@ -165,8 +173,8 @@ def llb_far_mask(
     # scalar loop starts at best = 0.0 and skips uncovered landmarks
     # (fmax(x, nan) == x).
     diff = np.abs(
-        rows[:, :, None, None, :] - rows[None, None, :, :, :]
-    )  # (n, 2, n, 2, L)
+        rows[:, :, None, None, :] - rows[None, None, start:, :, :]
+    )  # (n, 2, m, 2, L)
     pair_bound = np.full(diff.shape[:4], 0.0)
     for k in range(diff.shape[4]):
         pair_bound = np.fmax(pair_bound, diff[..., k])
@@ -179,5 +187,6 @@ def llb_far_mask(
     bound = np.maximum(forward, backward)
 
     far = bound > eps
-    np.fill_diagonal(far, False)
+    diagonal = np.arange(m)
+    far[diagonal + start, diagonal] = False
     return bytearray(far.astype(np.uint8).tobytes())

@@ -6,11 +6,14 @@ arrived set of trajectories.  The new flow clusters are then merged with
 the available flow clusters to produce compact clustering results."
 
 :class:`IncrementalNEAT` implements that loop.  Each ``add_batch`` runs
-Phases 1-2 on the newly arrived trajectories only, appends the resulting
-flows to the retained flow pool, and re-refines the pool with the adapted
-DBSCAN — reusing one memoized shortest-path engine across batches, so the
-network distances Phase 3 needs are increasingly cache hits (the warm
-server behaviour the paper's NEAT service assumes).
+Phases 1-2 on the newly arrived trajectories only and appends the
+resulting flows to the retained flow pool.  Phase 3 then merges them:
+the clusterer keeps the eps-neighbour graph of the pool
+(:class:`~repro.core.refinement.NeighbourGraph`) across batches, so a
+refresh bounds and evaluates only the flow pairs that touch a new flow,
+against one memoized shortest-path engine, and re-runs the adapted
+DBSCAN over the graph.  The clusters equal a from-scratch refinement of
+the whole pool.
 
 Trajectory ids must be unique across batches; the class offsets them
 automatically when asked.
@@ -37,7 +40,12 @@ from .config import NEATConfig
 from .flow_cluster import FlowCluster
 from .flow_formation import form_flow_clusters
 from .model import Trajectory
-from .refinement import RefinementStats, TrajectoryCluster, refine_flow_clusters
+from .refinement import (
+    NeighbourGraph,
+    RefinementStats,
+    TrajectoryCluster,
+    refine_flow_clusters,
+)
 from .result import NEATResult
 from .serialize import (
     FORMAT_TAG,
@@ -125,6 +133,12 @@ class IncrementalNEAT:
         self._fragment_cache: dict[int, Any] = {}
         self._fragment_text_cache: dict[int, Any] = {}
         self._doc_memo: dict[str, Any] | None = None
+        # Phase 3's eps-neighbour graph over ``_flows``, grown by each
+        # refresh; refine_flow_clusters rebuilds it when ``_flows`` no
+        # longer extends the flows it covers (a rollback after a finished
+        # refresh, a restore) or the network mutates.
+        self._graph = NeighbourGraph()
+        self._state_version = 0
 
     # ------------------------------------------------------------------
     @property
@@ -146,6 +160,16 @@ class IncrementalNEAT:
     def batch_count(self) -> int:
         """Number of batches ingested."""
         return self._batches
+
+    @property
+    def state_version(self) -> int:
+        """Counter that moves whenever the served state may have changed.
+
+        Bumped by every committed batch, every rollback and every state
+        restore; equal values mean :meth:`snapshot_result` describes the
+        same flows and clusters (on an unchanged network).
+        """
+        return self._state_version
 
     # ------------------------------------------------------------------
     def add_batch(
@@ -212,6 +236,7 @@ class IncrementalNEAT:
                     self._clusters = refine_flow_clusters(
                         self.network, self._flows, self.config,
                         engine=self.engine, stats=stats, metrics=metrics,
+                        graph=self._graph,
                     )
 
                 # Journal the batch *inside* the rollback scope: if the
@@ -229,6 +254,7 @@ class IncrementalNEAT:
                 self._seen_trids,
                 self._batches,
             ) = rollback
+            self._state_version += 1
             if metrics is not None:
                 metrics.inc(
                     "incremental.rolled_back_batches",
@@ -236,6 +262,7 @@ class IncrementalNEAT:
                 )
             _log.warning("batch rolled back", batch=result.batch_index)
             raise
+        self._state_version += 1
         result.clusters = list(self._clusters)
         result.refinement_stats = stats
 
@@ -646,3 +673,4 @@ class IncrementalNEAT:
         self._clusters = list(result.clusters)
         self._seen_trids = set(seen_trids)
         self._batches = watermark
+        self._state_version += 1

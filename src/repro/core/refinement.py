@@ -33,16 +33,25 @@ from .flow_cluster import FlowCluster
 class RefinementStats:
     """Phase 3 instrumentation (drives the Figure 7 reproduction).
 
+    The pair counters count *ordered* pairs as DBSCAN's region queries
+    examine them: a region query of flow ``i`` examines ``(i, j)`` for
+    every other flow ``j``, so an unordered pair examined from both ends
+    counts twice.  They describe the clustering, not the work done: the
+    neighbour graph behind the queries bounds and evaluates each
+    unordered pair once, and a kept graph (see :class:`NeighbourGraph`)
+    only the pairs touching newly appended flows.
+
     Attributes:
-        pair_checks: Candidate (flow, flow) pairs examined in region queries.
-        elb_pruned: Pairs discarded by the Euclidean lower bound alone.
-        llb_evaluations: ELB survivors also checked against the landmark
-            (ALT triangle-inequality) lower bound — 0 unless the LLB tier
-            is enabled (``config.use_llb``).
-        llb_pruned: Pairs the landmark lower bound discarded that the
-            Euclidean bound could not.
-        hausdorff_evaluations: Pairs for which the exact network-distance
-            Hausdorff value was computed.
+        pair_checks: Ordered (flow, flow) pairs examined in region queries.
+        elb_pruned: Examined pairs the Euclidean lower bound alone rules
+            out.
+        llb_evaluations: Examined ELB survivors also checked against the
+            landmark (ALT triangle-inequality) lower bound — 0 unless the
+            LLB tier is enabled (``config.use_llb``).
+        llb_pruned: Examined pairs the landmark lower bound rules out that
+            the Euclidean bound could not.
+        hausdorff_evaluations: Examined pairs that survive both bounds,
+            i.e. that need the exact network-distance Hausdorff value.
         shortest_path_computations: Dijkstra searches actually executed
             (memoized repeats excluded).
     """
@@ -53,6 +62,45 @@ class RefinementStats:
     llb_pruned: int = 0
     hausdorff_evaluations: int = 0
     shortest_path_computations: int = 0
+
+
+@dataclass
+class NeighbourGraph:
+    """Phase 3's eps-neighbour graph over a flow list that only grows.
+
+    ``adjacency[i]`` lists, ascending, every flow whose modified
+    Hausdorff distance (Eq. 5) to flow ``i`` is at most ``eps``;
+    ``elb_far[i]`` counts the flows the Euclidean bound rules out for
+    ``i`` and ``llb_far[i]`` those the landmark bound rules out among the
+    Euclidean survivors — what region queries report in
+    :class:`RefinementStats`.  The graph covers ``flows``, the prefix of
+    the flow list it was built over; :func:`refine_flow_clusters` grows
+    it by the flows appended since, evaluating only the pairs that touch
+    them, and starts it afresh when the list no longer extends that
+    prefix, the network has mutated, or eps or a bound tier changed.
+    """
+
+    flows: list[FlowCluster] = field(default_factory=list)
+    adjacency: list[list[int]] = field(default_factory=list)
+    elb_far: list[int] = field(default_factory=list)
+    llb_far: list[int] = field(default_factory=list)
+    # (network, landmark oracle or None, network.version, eps, use_elb):
+    # the settings every entry above was decided under.  The network and
+    # the oracle compare by identity.
+    settings: tuple = ()
+
+    def _applies(self, settings: tuple, flow_list: list[FlowCluster]) -> bool:
+        """Whether every entry still holds for ``flow_list`` under ``settings``."""
+        return (
+            self.settings == settings
+            and len(self.flows) <= len(flow_list)
+            and all(mine is theirs for mine, theirs in zip(self.flows, flow_list))
+        )
+
+    def _reset(self, settings: tuple) -> None:
+        self.flows, self.adjacency = [], []
+        self.elb_far, self.llb_far = [], []
+        self.settings = settings
 
 
 @dataclass
@@ -175,6 +223,7 @@ def _surviving_endpoint_pairs(
     llb=None,
     elb_mask: bytearray | None = None,
     llb_mask: bytearray | None = None,
+    start: int = 0,
 ) -> list[tuple[int, int]]:
     """Endpoint node pairs the region queries will ask the engine for.
 
@@ -185,19 +234,23 @@ def _surviving_endpoint_pairs(
     Pairs are deduplicated after symmetric normalization and ``(n, n)``
     identities are dropped, so the payload shipped to worker processes
     (and the grouped planner's input) carries each distinct query once.
+    With ``start > 0`` only pairs touching a flow at index ``start`` or
+    later are enumerated, in the same relative order.
 
-    When precomputed ``n x n`` prune masks are given
+    When precomputed prune masks are given
     (:func:`repro.core.bounds.elb_far_mask` /
-    :func:`~repro.core.bounds.llb_far_mask`) they replace the scalar
-    bound evaluations — the masks encode the same decisions, batched.
+    :func:`~repro.core.bounds.llb_far_mask`, built with the same
+    ``start``) they replace the scalar bound evaluations — the masks
+    encode the same decisions, batched.
     """
     n = len(flow_list)
+    width = n - start
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for i in range(n):
         a1, a2 = flow_list[i].endpoints
-        row = i * n
-        for j in range(i + 1, n):
+        row = i * width - start
+        for j in range(max(i + 1, start), n):
             if elb_mask is not None:
                 if elb_mask[row + j]:
                     continue
@@ -235,9 +288,14 @@ def refine_flow_clusters(
     stats: RefinementStats | None = None,
     metrics=None,
     workers: int | None = None,
+    graph: NeighbourGraph | None = None,
 ) -> list[TrajectoryCluster]:
     """Run Phase 3: merge eps-close flows into final trajectory clusters.
 
+    DBSCAN runs over the eps-neighbour graph of the flows (see
+    :class:`NeighbourGraph`), built over *unordered* pairs — the modified
+    Hausdorff distance is symmetric on the undirected engine — so each
+    pair is bounded and evaluated once rather than from both ends.
     Region queries run their shortest-path searches bounded by ``eps``:
     the lower-bound tiers (Euclidean, optionally landmark) already prove
     a pruned pair is far apart, and for the survivors a bounded search
@@ -253,120 +311,72 @@ def refine_flow_clusters(
         network: The road network.
         flows: Phase 2 output (the kept flows).
         config: NEAT parameters (``eps``, ``min_pts``, ``use_elb``).
-        engine: Optional shared shortest-path engine (undirected); a fresh
-            memoizing engine is created when omitted.
+        engine: Optional shared shortest-path engine; a fresh memoizing
+            engine is created when omitted.  Must be undirected: the
+            graph relies on Eq. 5 being symmetric.
         stats: Optional stats collector, filled in place.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when given, the ``neat.phase3.*`` counters are published from
             the collected stats when refinement finishes.
         workers: Worker processes for the distance batches (``None``
             falls back to ``config.workers``; ``<=1`` serial).
+        graph: Optional graph kept from an earlier call over a prefix of
+            ``flows`` (an incremental refresh); it is grown in place by
+            the appended flows, or rebuilt when it no longer applies.
+            Omitted, a fresh graph is built: same code, same result.
 
     Returns:
         Final clusters ordered by discovery (the first cluster is seeded by
         the flow with the longest representative route, per the paper's
         determinism rule).
+
+    Raises:
+        ValueError: ``engine`` is directed.
     """
     if config is None:
         config = NEATConfig()
     if engine is None:
         engine = ShortestPathEngine(network, directed=False)
+    if engine.directed:
+        raise ValueError("Phase 3 needs an undirected engine")
     if stats is None:
         stats = RefinementStats()
     if workers is None:
         workers = config.workers
+    if graph is None:
+        graph = NeighbourGraph()
 
     flow_list = list(flows)
     if not flow_list:
         _publish_stats(metrics, stats, cluster_count=0)
         return []
 
-    eps = config.eps
     sp_before = engine.computations
-
-    from ..parallel import resolve_workers
-
     llb = None
-    if config.use_llb and not engine.directed:
+    if config.use_llb:
         # Landmark tables are engine-memoized per network version; the
         # sweeps run outside the Figure-7 counters (bounds are free at
         # query time, like the Euclidean bound).
         llb = engine.landmark_bounds(config.llb_landmarks)
+    settings = (network, llb, network.version, config.eps, config.use_elb)
+    if not graph._applies(settings, flow_list):
+        graph._reset(settings)
+    _grow_graph(graph, network, flow_list, config, engine, workers, llb)
 
-    # Batch the lower-bound tiers over flat endpoint arrays once, up
-    # front (numpy-accelerated when available; decisions are identical
-    # either way — see repro.core.bounds).  Region queries and prefetch
-    # enumeration below then index the masks instead of recomputing
-    # per-pair bounds, so the counters they drive cannot drift.
-    from ..vec import resolve_vector_backend
-    from .bounds import elb_far_mask, llb_far_mask
-
-    vector_backend = resolve_vector_backend(
-        getattr(config, "vector_backend", "auto")
-    )
-    elb_mask = (
-        elb_far_mask(network, flow_list, eps, vector_backend)
-        if config.use_elb
-        else None
-    )
-    llb_mask = (
-        llb_far_mask(llb, flow_list, eps, vector_backend)
-        if llb is not None
-        else None
-    )
-
-    if config.sp_oracle == "tiered" and engine.oracle is None:
-        # Tiered oracle: answer every distance the region queries below
-        # will need with batched multi-target single-source kernels —
-        # O(distinct endpoints) searches instead of one per surviving
-        # pair.  Runs at any worker count (the grouping is deterministic
-        # and backend-independent), so serial and parallel runs execute
-        # the same searches and report identical counters.
-        engine.prefetch_grouped(
-            _surviving_endpoint_pairs(
-                network, flow_list, eps, config.use_elb, llb=llb,
-                elb_mask=elb_mask, llb_mask=llb_mask,
-            ),
-            cutoff=eps,
-            workers=workers,
-        )
-    elif resolve_workers(workers) > 1 and engine.oracle is None:
-        # Legacy pairwise oracle: warm the engine per pair, fanned out
-        # across processes.  The engine counts the prefetched searches as
-        # the computations they replace, so Figure-7 accounting stays
-        # exact.
-        engine.prefetch(
-            _surviving_endpoint_pairs(
-                network, flow_list, eps, config.use_elb, llb=llb,
-                elb_mask=elb_mask, llb_mask=llb_mask,
-            ),
-            cutoff=eps,
-            workers=workers,
-        )
+    n = len(flow_list)
+    adjacency, elb_far, llb_far = graph.adjacency, graph.elb_far, graph.llb_far
 
     def region_query(index: int) -> list[int]:
-        found = []
-        row = index * len(flow_list)
-        for other in range(len(flow_list)):
-            if other == index:
-                continue
-            stats.pair_checks += 1
-            if elb_mask is not None:
-                if elb_mask[row + other]:
-                    stats.elb_pruned += 1
-                    continue
-            if llb_mask is not None:
-                stats.llb_evaluations += 1
-                if llb_mask[row + other]:
-                    stats.llb_pruned += 1
-                    continue
-            stats.hausdorff_evaluations += 1
-            distance = flow_distance(
-                engine, flow_list[index], flow_list[other], cutoff=eps
-            )
-            if distance <= eps:
-                found.append(other)
-        return found
+        # Count what a scan of row ``index`` examines: every other flow,
+        # of which the bounds rule some out and the rest need Eq. 5.
+        others = n - 1
+        stats.pair_checks += others
+        stats.elb_pruned += elb_far[index]
+        if llb is not None:
+            stats.llb_evaluations += others - elb_far[index]
+        stats.llb_pruned += llb_far[index]
+        stats.hausdorff_evaluations += others - elb_far[index] - llb_far[index]
+        return adjacency[index]
 
     # "The density-based clustering ... always starts each round with the
     # flow cluster whose representative route is the longest" (III-C2).
@@ -392,6 +402,106 @@ def refine_flow_clusters(
     stats.shortest_path_computations += engine.computations - sp_before
     _publish_stats(metrics, stats, cluster_count=len(clusters))
     return clusters
+
+
+def _grow_graph(
+    graph: NeighbourGraph,
+    network: RoadNetwork,
+    flow_list: list[FlowCluster],
+    config: NEATConfig,
+    engine: ShortestPathEngine,
+    workers: int | None,
+    llb,
+) -> None:
+    """Extend ``graph`` by the flows of ``flow_list`` it does not cover.
+
+    Only pairs touching an appended flow are bounded, prefetched and
+    evaluated, in the order a full build enumerates them, so the engine
+    runs the searches a full build would still need, no more.  The graph
+    is updated only once every pair has been decided: a failure midway
+    leaves it covering its old prefix.
+    """
+    start = len(graph.flows)
+    n = len(flow_list)
+    if start == n:
+        return
+    eps = config.eps
+    width = n - start
+
+    # Batch the lower-bound tiers over flat endpoint arrays once, up
+    # front (numpy-accelerated when available; decisions are identical
+    # either way — see repro.core.bounds).  The prefetch enumeration and
+    # the pair scan below then index the masks instead of recomputing
+    # per-pair bounds, so the counters they drive cannot drift.
+    from ..parallel import resolve_workers
+    from ..vec import resolve_vector_backend
+    from .bounds import elb_far_mask, llb_far_mask
+
+    vector_backend = resolve_vector_backend(
+        getattr(config, "vector_backend", "auto")
+    )
+    elb_mask = (
+        elb_far_mask(network, flow_list, eps, vector_backend, start=start)
+        if config.use_elb
+        else None
+    )
+    llb_mask = (
+        llb_far_mask(llb, flow_list, eps, vector_backend, start=start)
+        if llb is not None
+        else None
+    )
+
+    if engine.oracle is None and (
+        config.sp_oracle == "tiered" or resolve_workers(workers) > 1
+    ):
+        # Tiered oracle: answer every distance the pair scan below will
+        # need with batched multi-target single-source kernels —
+        # O(distinct endpoints) searches instead of one per surviving
+        # pair.  Runs at any worker count (the grouping is deterministic
+        # and backend-independent), so serial and parallel runs execute
+        # the same searches and report identical counters.  The legacy
+        # pairwise oracle instead warms the engine per pair, fanned out
+        # across processes; the engine counts the prefetched searches as
+        # the computations they replace, so Figure-7 accounting stays
+        # exact.
+        prefetch = (
+            engine.prefetch_grouped
+            if config.sp_oracle == "tiered"
+            else engine.prefetch
+        )
+        prefetch(
+            _surviving_endpoint_pairs(
+                network, flow_list, eps, config.use_elb, llb=llb,
+                elb_mask=elb_mask, llb_mask=llb_mask, start=start,
+            ),
+            cutoff=eps,
+            workers=workers,
+        )
+
+    elb_far = graph.elb_far + [0] * width
+    llb_far = graph.llb_far + [0] * width
+    edges: list[tuple[int, int]] = []
+    for i in range(n):
+        row = i * width - start
+        flow = flow_list[i]
+        for j in range(max(i + 1, start), n):
+            if elb_mask is not None and elb_mask[row + j]:
+                elb_far[i] += 1
+                elb_far[j] += 1
+            elif llb_mask is not None and llb_mask[row + j]:
+                llb_far[i] += 1
+                llb_far[j] += 1
+            elif flow_distance(engine, flow, flow_list[j], cutoff=eps) <= eps:
+                edges.append((i, j))
+
+    adjacency = graph.adjacency
+    adjacency.extend([] for _ in range(width))
+    # Pairs arrive in (i, j) order, so every row stays ascending.
+    for i, j in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    graph.elb_far, graph.llb_far = elb_far, llb_far
+    graph.flows = flow_list
 
 
 def _publish_stats(metrics, stats: RefinementStats, cluster_count: int) -> None:

@@ -6,9 +6,11 @@ results for a particular road network".  :class:`NeatService` is that
 server tier as a library object, composing the pieces built elsewhere:
 
 * ingestion goes through :class:`~repro.core.incremental.IncrementalNEAT`
-  (batched Phases 1-2, warm Phase 3 refreshes);
+  (batched Phases 1-2, Phase 3 refreshes that evaluate only the flow
+  pairs a batch adds);
 * query responses are the serialized wire format of
-  :mod:`repro.core.serialize`;
+  :mod:`repro.core.serialize`, built once per state version and served
+  as-is until the state or the network changes;
 * every response is checked by :mod:`repro.core.validate` before leaving
   the service (a malformed answer is a bug, not a payload).
 
@@ -211,6 +213,9 @@ class NeatService:
         )
         self._pending: deque[list[Trajectory]] = deque()
         self._last_document: dict[str, Any] | None = None
+        # ((state version, network version), validated document) of the
+        # last build: an unchanged state is served without a rebuild.
+        self._built: tuple[tuple[int, int], dict[str, Any]] | None = None
         if self._documents is not None:
             latest = self._documents.read_latest()
             if latest is not None:
@@ -649,11 +654,29 @@ class NeatService:
         return self.faults.run("refresh", self._build_document)
 
     def _build_document(self) -> dict[str, Any]:
+        """The validated serving document of the current state.
+
+        Built, validated and serialized once per state: the document is
+        memoised on the clusterer's ``state_version`` and the network's
+        mutation version, so the query after a submit (and any repeat
+        query) serves the document the submit already built.  A build
+        reuses the clusterer's fragment cache, so old t-fragments are
+        not re-serialized either.
+        """
+        key = (self._incremental.state_version, self.network.version)
+        if self._built is not None and self._built[0] == key:
+            return self._built[1]
         result = self._snapshot()
         validate_result(
             result, self.network, allow_shared_segments=True
         ).raise_if_invalid()
-        return result_to_dict(result, network_name=self.network.name)
+        document = result_to_dict(
+            result,
+            network_name=self.network.name,
+            fragment_cache=self._incremental._fragment_cache,
+        )
+        self._built = (key, document)
+        return document
 
     def _snapshot(self) -> NEATResult:
         """The service's current state as a NEATResult.

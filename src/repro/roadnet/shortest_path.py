@@ -367,6 +367,10 @@ class ShortestPathEngine:
     so a later unbounded (or larger-cutoff) query recomputes correctly
     instead of inheriting a truncated answer.
 
+    Every memo table answers for the ``network.version`` it was filled
+    at: once the network mutates (a new segment can shorten any
+    distance), the next query, prefetch or cache export drops them all.
+
     Attributes:
         network: The road network queried.
         directed: Whether searches respect one-way segments.
@@ -416,6 +420,8 @@ class ShortestPathEngine:
     # (network version, landmark count, LandmarkOracle) memo for the LLB
     # prune tier; rebuilt when the network mutates.
     _landmarks: tuple | None = field(default=None, repr=False, compare=False)
+    # network.version the memo tables above were filled against.
+    _network_version: int = field(default=0, repr=False, compare=False)
     _metric_computations: object | None = field(
         default=None, repr=False, compare=False
     )
@@ -431,6 +437,22 @@ class ShortestPathEngine:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
+        self._network_version = self.network.version
+
+    def _drop_if_stale(self) -> None:
+        """Drop every memo table once the network has mutated under them.
+
+        A segment added after a distance was cached can shorten it, so
+        the exact, bounded, prepaid and warm tables all answer for the
+        network version they were filled at; counters are kept.
+        """
+        version = self.network.version
+        if version != self._network_version:
+            self._network_version = version
+            self._cache.clear()
+            self._bounded.clear()
+            self._prepaid.clear()
+            self._warm.clear()
 
     # ------------------------------------------------------------------
     def _key(self, source: int, target: int) -> tuple[int, int]:
@@ -477,6 +499,8 @@ class ShortestPathEngine:
         """
         if source == target:
             return 0.0
+        if self.network.version != self._network_version:
+            self._drop_if_stale()
         key = self._key(source, target)
         cached = self._cache.get(key)
         if cached is not None:
@@ -543,6 +567,7 @@ class ShortestPathEngine:
 
         Returns the number of searches executed.
         """
+        self._drop_if_stale()
         needed: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for source, target in pairs:
@@ -590,6 +615,7 @@ class ShortestPathEngine:
 
         Returns the number of searches executed.
         """
+        self._drop_if_stale()
         needed: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for source, target in pairs:
@@ -783,6 +809,7 @@ class ShortestPathEngine:
         self,
     ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
         """Copies of the exact and bounded memo tables, for persistence."""
+        self._drop_if_stale()
         return dict(self._cache), dict(self._bounded)
 
     def absorb_cache(
@@ -799,6 +826,7 @@ class ShortestPathEngine:
 
         Returns the number of entries absorbed.
         """
+        self._drop_if_stale()
         added = 0
         for (source, target), value in exact.items():
             key = self._key(source, target)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.config import NEATConfig
 from repro.core.model import Location, Trajectory
-from repro.core.serialize import result_from_dict
+from repro.core.serialize import result_from_dict, result_to_dict
 from repro.distributed.service import NeatService
 from repro.errors import RetriesExhausted, TrajectoryError
 from repro.resilience import FaultPlan, RetryPolicy
+from repro.roadnet.geometry import Point
 
 from conftest import trajectory_through
 
@@ -216,8 +219,99 @@ class TestQuarantine:
         good = [trajectory_through(line3, i, [0, 1, 2]) for i in range(3)]
         clean.submit(good)
         dirty.submit(good + [self._nan_trajectory(line3, 99)])
-        import json
-
         a = clean.get_clustering()
         b = dirty.get_clustering()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestServedDocumentMemo:
+    """Each state version's document is built, validated and serialized
+    once; a repeat query serves it as-is."""
+
+    @pytest.fixture
+    def counted(self, service, monkeypatch):
+        """The service with its document builders call-counted."""
+        import repro.distributed.service as service_module
+
+        calls = {"validate_result": 0, "result_to_dict": 0}
+        for name in calls:
+            real = getattr(service_module, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(service_module, name, counting)
+        return (*service, calls)
+
+    def test_served_document_equals_a_fresh_serialization(self, service):
+        network, trajectories, svc = service
+        for start in range(0, 60, 15):
+            svc.submit(trajectories[start:start + 15])
+            served = svc.get_clustering()
+            expected = result_to_dict(
+                svc._incremental.snapshot_result(), network.name
+            )
+            assert json.dumps(served, sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            )
+
+    def test_repeat_query_reuses_the_document(self, counted):
+        _network, trajectories, svc, calls = counted
+        svc.submit(trajectories[:20])
+        assert calls == {"validate_result": 1, "result_to_dict": 1}
+        first = svc.get_clustering()
+        second = svc.get_clustering()
+        assert calls == {"validate_result": 1, "result_to_dict": 1}
+        assert json.dumps(first, sort_keys=True) == json.dumps(
+            second, sort_keys=True
+        )
+
+    def test_refresh_fault_still_fires_at_its_index(self, counted):
+        _network, trajectories, svc, calls = counted
+        svc.submit(trajectories[:20])
+        svc.faults.arm("refresh", FaultPlan(fail_nth=2))
+        assert svc.get_clustering()["stale"] is False  # refresh call 1
+        # Call 2 fails, the retry (call 3) serves the memoised document.
+        assert svc.get_clustering()["stale"] is False
+        wrapper = svc.faults.wrapper("refresh")
+        assert (wrapper.calls, wrapper.injected_failures) == (3, 1)
+        assert svc.stats().retries == 1
+        assert calls == {"validate_result": 1, "result_to_dict": 1}
+
+        svc.faults.arm("refresh", FaultPlan(kill_from=1))
+        assert svc.get_clustering()["stale"] is True
+
+    def test_rollback_forces_a_rebuild(self, counted, monkeypatch):
+        import repro.core.incremental as incremental_module
+
+        _network, trajectories, svc, calls = counted
+        svc.submit(trajectories[:20])
+        before = svc.get_clustering()
+        version = svc._incremental.state_version
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("refresh failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(incremental_module, "refine_flow_clusters", failing)
+            with pytest.raises(RetriesExhausted):
+                svc.submit(trajectories[20:40])
+        assert svc._incremental.state_version > version
+        assert calls["validate_result"] == 1
+        after = svc.get_clustering()
+        assert calls == {"validate_result": 2, "result_to_dict": 2}
+        assert json.dumps(after, sort_keys=True) == json.dumps(
+            before, sort_keys=True
+        )
+
+    def test_network_mutation_forces_a_rebuild(self, counted):
+        network, trajectories, svc, calls = counted
+        svc.submit(trajectories[:20])
+        svc.get_clustering()
+        assert calls["validate_result"] == 1
+        network.add_junction(Point(-1e6, -1e6))
+        svc.get_clustering()
+        assert calls == {"validate_result": 2, "result_to_dict": 2}
+        svc.get_clustering()
+        assert calls == {"validate_result": 2, "result_to_dict": 2}

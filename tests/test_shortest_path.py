@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.errors import NoPathError, UnknownNodeError
-from repro.roadnet.builder import network_from_edges
+from repro.roadnet.builder import line_network, network_from_edges
 from repro.roadnet.geometry import Point
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.shortest_path import (
@@ -256,3 +256,48 @@ class TestEngineCutoff:
         engine.distance(1, 3, cutoff=10.0)
         assert engine.computations == 1  # searched again, no cached verdict
         assert engine.cache_hits == 0
+
+
+class TestEngineNetworkMutation:
+    """A cached distance answers only for the network version it was
+    computed on: a later segment can shorten it."""
+
+    def test_new_shortcut_is_seen(self):
+        net = line_network(4)
+        engine = ShortestPathEngine(net)
+        assert engine.distance(0, 4) == 400.0
+        net.add_segment(0, 4, length=10.0)
+        assert engine.distance(0, 4) == 10.0
+        assert engine.distance(0, 4) == ShortestPathEngine(net).distance(0, 4)
+
+    def test_bounded_verdict_dropped(self):
+        net = line_network(4)
+        engine = ShortestPathEngine(net)
+        assert engine.distance(0, 4, cutoff=50.0) == INFINITY
+        net.add_segment(0, 4, length=10.0)
+        assert engine.distance(0, 4, cutoff=50.0) == 10.0
+
+    @pytest.mark.parametrize("method", ["prefetch", "prefetch_grouped"])
+    def test_prefetch_after_mutation_searches_again(self, method):
+        net = line_network(4)
+        engine = ShortestPathEngine(net)
+        getattr(engine, method)([(0, 4), (1, 3)], cutoff=50.0)
+        net.add_segment(0, 4, length=10.0)
+        assert getattr(engine, method)([(0, 4)], cutoff=50.0) == 1
+        assert engine.distance(0, 4, cutoff=50.0) == 10.0
+
+    def test_distance_many_after_mutation(self):
+        net = line_network(4)
+        engine = ShortestPathEngine(net)
+        assert engine.distance_many([(0, 4), (4, 0)]) == [400.0, 400.0]
+        net.add_segment(0, 4, length=10.0)
+        assert engine.distance_many([(0, 4), (4, 0)]) == [10.0, 10.0]
+
+    def test_warm_entries_dropped(self):
+        net = line_network(4)
+        engine = ShortestPathEngine(net)
+        engine.absorb_cache({(0, 4): 400.0}, {})
+        net.add_segment(0, 4, length=10.0)
+        assert engine.distance(0, 4) == 10.0
+        assert engine.warm_hits == 0
+        assert engine.export_cache() == ({(0, 4): 10.0}, {})
