@@ -48,9 +48,6 @@ class NEATConfig:
             ``None`` or ``0`` means one per CPU (``os.cpu_count()``);
             ``1`` (the default) runs serially.  Results are identical at
             any setting — parallelism only changes wall-clock time.
-        sp_backend: Shortest-path backend of the Phase 3 engine:
-            ``"csr"`` (flat-array bidirectional Dijkstra, the default)
-            or ``"dict"`` (legacy adjacency walk).
         sp_oracle: Phase 3 distance-oracle strategy.  ``"tiered"`` (the
             default) answers the surviving endpoint pairs with batched
             multi-target single-source kernels — O(distinct endpoints)
@@ -108,7 +105,6 @@ class NEATConfig:
     use_elb: bool = True
     keep_interior_points: bool = False
     workers: int | None = 1
-    sp_backend: str = "csr"
     sp_oracle: str = "tiered"
     use_llb: bool = False
     vector_backend: str = "auto"
@@ -143,10 +139,6 @@ class NEATConfig:
         if self.workers is not None and self.workers < 0:
             raise ConfigError(
                 f"workers must be >= 0 (0/None = one per CPU), got {self.workers}"
-            )
-        if self.sp_backend not in ("dict", "csr"):
-            raise ConfigError(
-                f"sp_backend must be 'dict' or 'csr', got {self.sp_backend!r}"
             )
         if self.sp_oracle not in ("tiered", "pairwise"):
             raise ConfigError(

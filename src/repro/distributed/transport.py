@@ -24,12 +24,11 @@ identical runs put byte-identical frames on the wire): ``ping``,
 the shard-side half of Phase 3), ``batch`` (several requests in one
 frame), ``stats``, ``reset`` (server closes the connection after
 replying) and ``shutdown``.  Trajectories and base clusters travel
-either in the location-row schema of :mod:`repro.core.serialize` or —
-the hot path — as packed columnar arrays
-(:func:`trajectories_to_packed` / :func:`clusters_to_packed`: flat
-little-endian typed columns, base64-wrapped in the JSON envelope;
-exact, deterministic, and several times cheaper to encode than nested
-number lists).
+as packed columnar arrays (:func:`trajectories_to_packed` /
+:func:`clusters_to_packed`: flat little-endian typed columns,
+base64-wrapped in the JSON envelope; exact, deterministic, and several
+times cheaper to encode than nested number lists); a ``preprocess``
+request without ``trajectories_packed`` gets a ``protocol`` error.
 
 **Connections are persistent**: a :class:`TransportClient` keeps its
 socket open across calls behind a small per-node
@@ -97,17 +96,13 @@ __all__ = [
     "ShardProcess",
     "TransportClient",
     "clusters_from_packed",
-    "clusters_from_wire",
     "clusters_to_packed",
-    "clusters_to_wire",
     "decode_frame",
     "encode_frame",
     "spawn_local_shards",
     "stop_shards",
     "trajectories_from_packed",
-    "trajectories_from_wire",
     "trajectories_to_packed",
-    "trajectories_to_wire",
 ]
 
 _log = get_logger("distributed.transport")
@@ -220,7 +215,7 @@ def _encode_message(message: dict[str, Any]) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Payload schemas (the location-row format of repro.core.serialize)
+# Payload schemas (packed columnar arrays)
 # ----------------------------------------------------------------------
 def _pack_array(values: array, byteswap: bool = sys.byteorder == "big") -> str:
     """A typed array as base64 of its little-endian bytes.
@@ -330,13 +325,12 @@ def trajectories_to_packed(
 ) -> dict[str, str]:
     """Trajectories as packed columnar arrays (the hot-path schema).
 
-    The row schema of :func:`trajectories_to_wire` spends most of a
-    dispatch inside ``json.dumps``/``json.loads`` walking nested lists
-    of numbers; at bench scale that serialization alone outweighed the
-    Phase 1 compute being distributed.  This packs the same values into
-    five flat typed columns (sid / node / x / y / t) plus per-trajectory
-    offsets, base64-wrapped into an ordinary JSON envelope — exact,
-    deterministic, and ~6x faster to encode.
+    Nested JSON number lists spend most of a dispatch inside
+    ``json.dumps``/``json.loads``; at bench scale that serialization
+    alone outweighed the Phase 1 compute being distributed.  This packs
+    the location values into five flat typed columns (sid / node / x /
+    y / t) plus per-trajectory offsets, base64-wrapped into an ordinary
+    JSON envelope — exact, deterministic, and ~6x faster to encode.
     """
     trids = array("q")
     counts = array("I")
@@ -469,76 +463,6 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
                 offset = end
                 fragment_index += 1
             clusters.append(BaseCluster(sid, fragments))
-    return clusters
-def trajectories_to_wire(
-    trajectories: Iterable[Trajectory],
-) -> list[dict[str, Any]]:
-    """Trajectories as JSON-compatible rows."""
-    return [
-        {
-            "trid": tr.trid,
-            "locations": [
-                [l.sid, l.x, l.y, l.t, l.node_id] for l in tr.locations
-            ],
-        }
-        for tr in trajectories
-    ]
-
-
-def trajectories_from_wire(rows: Iterable[dict[str, Any]]) -> list[Trajectory]:
-    """Trajectories rebuilt from :func:`trajectories_to_wire` output."""
-    return [
-        Trajectory(
-            int(row["trid"]),
-            tuple(
-                Location(
-                    int(sid), float(x), float(y), float(t),
-                    None if node_id is None else int(node_id),
-                )
-                for sid, x, y, t, node_id in row["locations"]
-            ),
-        )
-        for row in rows
-    ]
-
-
-def clusters_to_wire(clusters: Iterable[BaseCluster]) -> list[dict[str, Any]]:
-    """Base clusters as JSON-compatible rows (serialize schema)."""
-    return [
-        {
-            "sid": cluster.sid,
-            "fragments": [
-                {
-                    "trid": fragment.trid,
-                    "locations": [
-                        [l.sid, l.x, l.y, l.t, l.node_id]
-                        for l in fragment.locations
-                    ],
-                }
-                for fragment in cluster.fragments
-            ],
-        }
-        for cluster in clusters
-    ]
-
-
-def clusters_from_wire(rows: Iterable[dict[str, Any]]) -> list[BaseCluster]:
-    """Base clusters rebuilt from :func:`clusters_to_wire` output."""
-    clusters: list[BaseCluster] = []
-    for row in rows:
-        cluster = BaseCluster(int(row["sid"]))
-        for fragment in row["fragments"]:
-            locations = tuple(
-                Location(
-                    int(sid), float(x), float(y), float(t),
-                    None if node_id is None else int(node_id),
-                )
-                for sid, x, y, t, node_id in fragment["locations"]
-            )
-            cluster.add(
-                TFragment(int(fragment["trid"]), locations[0].sid, locations)
-            )
-        clusters.append(cluster)
     return clusters
 
 
@@ -677,16 +601,13 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 return {"ok": True, "result": {"node_id": shard.node_id}}, "keep"
             if op == "preprocess":
                 payload = message.get("payload") or {}
-                # Hot path: the packed columnar schema.  The row schema
-                # stays accepted (and answered in kind) for hand-rolled
-                # clients and the protocol tests.
                 packed = payload.get("trajectories_packed")
-                if packed is not None:
-                    trajectories = trajectories_from_packed(packed)
-                else:
-                    trajectories = trajectories_from_wire(
-                        payload.get("trajectories", [])
-                    )
+                if packed is None:
+                    return {
+                        "ok": False, "kind": "protocol",
+                        "error": "preprocess needs 'trajectories_packed'",
+                    }, "keep"
+                trajectories = trajectories_from_packed(packed)
                 clusters = form_base_clusters(
                     shard.network,
                     trajectories,
@@ -696,12 +617,10 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 )
                 shard.preprocess_calls += 1
                 shard.trajectories_processed += len(trajectories)
-                result = (
-                    {"clusters_packed": clusters_to_packed(clusters)}
-                    if packed is not None
-                    else {"clusters": clusters_to_wire(clusters)}
-                )
-                return {"ok": True, "result": result}, "keep"
+                return {
+                    "ok": True,
+                    "result": {"clusters_packed": clusters_to_packed(clusters)},
+                }, "keep"
             if op == "distances":
                 payload = message.get("payload") or {}
                 return {

@@ -29,7 +29,6 @@ from .shortest_path import (
     ShortestPathEngine,
     dijkstra_distance,
     dijkstra_distance_counted,
-    dijkstra_multi_target,
     dijkstra_single_source,
     plan_source_groups,
     shortest_route,
@@ -61,7 +60,6 @@ __all__ = [
     "crop_network",
     "dijkstra_distance",
     "dijkstra_distance_counted",
-    "dijkstra_multi_target",
     "dijkstra_single_source",
     "format_table1",
     "generate_grid_network",

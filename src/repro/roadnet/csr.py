@@ -1,6 +1,6 @@
-"""Flat-array (CSR) shortest-path core.
+"""Flat-array (CSR) shortest-path core: the engine's only search kernels.
 
-The legacy searches in :mod:`~repro.roadnet.shortest_path` walk the
+The reference searches in :mod:`~repro.roadnet.shortest_path` walk the
 mutable :class:`~repro.roadnet.RoadNetwork` through dict-of-lists
 adjacency, building neighbor tuples on every visit.  That is fine for
 correctness work, but Phase 3 of NEAT runs thousands of point-to-point
@@ -13,7 +13,10 @@ dense ``0..n-1`` node index — and runs Dijkstra over plain list reads:
 * :meth:`CSRGraph.distance_counted` — (bounded) point-to-point Dijkstra;
 * :meth:`CSRGraph.bidirectional_distance_counted` — point-to-point
   search growing a forward and a backward frontier, settling roughly
-  ``2*sqrt`` of the nodes a unidirectional search would;
+  ``2*sqrt`` of the nodes a unidirectional search would (the engine's
+  point queries and per-pair prefetches);
+* :meth:`CSRGraph.multi_target_distances` — one bounded single-source
+  sweep answering a target set (the engine's grouped prefetches);
 * :meth:`CSRGraph.shortest_route` — point-to-point with path recovery.
 
 Storage is typed :class:`array.array` buffers (``'q'`` int64 for the
@@ -26,23 +29,23 @@ across backings — the Dijkstra loops below never know whether they read
 a private array or a shared mapping.
 
 Snapshots are immutable and picklable (attached views materialize into
-private arrays on pickle), so read-only copies can still be shipped the
-legacy way when shared memory is unavailable.  ``RoadNetwork.csr``
+private arrays on pickle), so read-only copies can still be shipped by
+pickling when shared memory is unavailable.  ``RoadNetwork.csr``
 builds and caches one per direction mode, invalidating on mutation.
 
 Exactness: for a unique shortest path, the unidirectional searches
-return bit-identical floats to the legacy dict backend (same additions
-in the same order along the path).  The bidirectional search sums the
-two half-paths separately, so its result can differ in the last ulp;
-callers comparing across backends should allow a relative tolerance of
-~1e-12 (decision thresholds like Phase 3's ``eps`` are unaffected).
+return bit-identical floats to the dict-of-lists reference walkers
+(same additions in the same order along the path).  The bidirectional
+search sums the two half-paths separately, so its result can differ in
+the last ulp; callers comparing it with the reference should allow a
+relative tolerance of ~1e-12 (decision thresholds like Phase 3's ``eps`` are unaffected).
 """
 
 from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import NoPathError, UnknownNodeError
 from .shortest_path import INFINITY, Route
@@ -362,8 +365,8 @@ class CSRGraph:
         pair, this settles outward from ``source`` once and stops as soon
         as every requested target is settled (or the frontier exceeds
         ``cutoff``).  Distances are unidirectional-Dijkstra sums, so they
-        are bit-identical to :meth:`distance_counted` / the legacy dict
-        walker for the same pair.
+        are bit-identical to :meth:`distance_counted` / the dict-of-lists
+        reference walker for the same pair.
 
         Returns:
             ``(found, settled_nodes)`` where ``found`` maps each target
@@ -466,25 +469,6 @@ class CSRGraph:
         nodes.reverse()
         sids.reverse()
         return Route(tuple(nodes), tuple(sids), length)
-
-    # ------------------------------------------------------------------
-    def distance_batch(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        cutoff: float = INFINITY,
-        bidirectional: bool = True,
-    ) -> list[tuple[float, int]]:
-        """``(distance, settled)`` for every pair, in order.
-
-        The unit of work shipped to worker processes by
-        :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.distance_many`;
-        also handy for warming caches serially.
-        """
-        if bidirectional:
-            search = self.bidirectional_distance_counted
-        else:
-            search = self.distance_counted
-        return [search(a, b, cutoff) for a, b in pairs]
 
 
 def _pack(

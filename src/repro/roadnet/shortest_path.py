@@ -5,10 +5,13 @@ expansion), an A* variant using the Euclidean lower bound as an admissible
 heuristic, and a caching :class:`ShortestPathEngine` that counts expansions
 so the ELB experiments (Figure 7) can report exactly how many shortest-path
 computations a clustering run performed.  The engine answers uncached
-point queries through either this module's dict-of-lists walkers
-(``backend="dict"``) or the flat-array bidirectional Dijkstra of
-:mod:`~repro.roadnet.csr` (``backend="csr"``, the default), and can batch
-uncached searches across worker processes (:meth:`ShortestPathEngine.prefetch`).
+searches with the flat-array kernels of :mod:`~repro.roadnet.csr`
+(bidirectional Dijkstra for point queries, bounded multi-target sweeps
+for grouped prefetches) and can batch them across worker processes
+(:meth:`ShortestPathEngine.prefetch`).  The dict-of-lists ``dijkstra_*``
+functions here are the plain reference the CSR kernels are tested
+against; :func:`shortest_route` plans routes for the simulator and the
+map matcher.
 
 Directed searches respect one-way segments (used by the trip simulator);
 undirected searches ignore direction (used by Phase 3's network proximity,
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -186,62 +190,6 @@ def dijkstra_distance_counted(
     return INFINITY, expansions
 
 
-def dijkstra_multi_target(
-    network: RoadNetwork,
-    source: int,
-    targets: Iterable[int],
-    directed: bool = False,
-    cutoff: float = INFINITY,
-) -> tuple[dict[int, float], int]:
-    """One bounded single-source search answering a whole target set.
-
-    Dict-backend twin of
-    :meth:`~repro.roadnet.csr.CSRGraph.multi_target_distances`: settles
-    outward from ``source`` until every requested target is settled or
-    the frontier exceeds ``cutoff``.  Distances are plain Dijkstra sums,
-    bit-identical to :func:`dijkstra_distance_counted` per pair.
-
-    Returns:
-        ``(found, settled_nodes)``; targets absent from ``found`` are
-        proven farther than ``cutoff`` (or unreachable).
-    """
-    if not network.has_node(source):
-        raise UnknownNodeError(source)
-    found: dict[int, float] = {}
-    remaining: set[int] = set()
-    for target in targets:
-        if not network.has_node(target):
-            raise UnknownNodeError(target)
-        if target == source:
-            found[target] = 0.0
-        else:
-            remaining.add(target)
-    if not remaining:
-        return found, 0
-    neighbors = _neighbor_fn(network, directed)
-    dist: dict[int, float] = {source: 0.0}
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    expansions = 0
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        expansions += 1
-        if node in remaining:
-            remaining.discard(node)
-            found[node] = d
-            if not remaining:
-                break
-        for neighbor, _sid, length in neighbors(node):
-            nd = d + length
-            if nd <= cutoff and nd < dist.get(neighbor, INFINITY):
-                dist[neighbor] = nd
-                heapq.heappush(heap, (nd, neighbor))
-    return found, expansions
-
-
 def plan_source_groups(
     pairs: Iterable[tuple[int, int]],
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -341,10 +289,6 @@ def _recover_route(
     return Route(tuple(nodes), tuple(sids), length)
 
 
-#: Engine search backends: legacy dict-of-lists vs flat-array CSR.
-BACKENDS = ("dict", "csr")
-
-
 @dataclass
 class ShortestPathEngine:
     """A caching, instrumented shortest-path oracle for one network.
@@ -380,12 +324,6 @@ class ShortestPathEngine:
             :class:`~repro.roadnet.landmarks.LandmarkOracle`) — any object
             with a ``distance(source, target) -> float`` method.  Only
             valid for undirected engines; results must equal Dijkstra's.
-        backend: ``"csr"`` (default) answers point queries with
-            bidirectional Dijkstra over the network's flat-array
-            :meth:`~repro.roadnet.network.RoadNetwork.csr` snapshot;
-            ``"dict"`` keeps the legacy adjacency walk.  Both return the
-            same distances (the bidirectional split can differ in the
-            last ulp) and the same ``computations`` counts.
         cache_hits: Number of ``distance`` calls answered from the memo
             table (identity queries are not counted).
         nodes_expanded: Total nodes settled across all Dijkstra searches
@@ -402,7 +340,6 @@ class ShortestPathEngine:
     directed: bool = False
     computations: int = 0
     oracle: object | None = None
-    backend: str = "csr"
     cache_hits: int = 0
     nodes_expanded: int = 0
     grouped_searches: int = 0
@@ -433,10 +370,6 @@ class ShortestPathEngine:
     def __post_init__(self) -> None:
         if self.oracle is not None and self.directed:
             raise ValueError("accelerated oracles are undirected-only")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
         self._network_version = self.network.version
 
     def _drop_if_stale(self) -> None:
@@ -476,15 +409,6 @@ class ShortestPathEngine:
         self.nodes_expanded += expanded
         if self._metric_expanded is not None:
             self._metric_expanded.inc(expanded)
-
-    def _search(self, source: int, target: int, limit: float) -> tuple[float, int]:
-        """One uncached point query via the configured backend."""
-        if self.backend == "csr":
-            graph = self.network.csr(self.directed)
-            return graph.bidirectional_distance_counted(source, target, limit)
-        return dijkstra_distance_counted(
-            self.network, source, target, directed=self.directed, cutoff=limit
-        )
 
     def distance(
         self, source: int, target: int, cutoff: float | None = None
@@ -526,7 +450,10 @@ class ShortestPathEngine:
             self._bounded.pop(key, None)
             return distance
         limit = INFINITY if cutoff is None else cutoff
-        distance, expanded = self._search(key[0], key[1], limit)
+        graph = self.network.csr(self.directed)
+        distance, expanded = graph.bidirectional_distance_counted(
+            key[0], key[1], limit
+        )
         self._count_search(expanded)
         self._store(key, distance, cutoff)
         return distance
@@ -536,7 +463,9 @@ class ShortestPathEngine:
     ) -> None:
         """File a fresh search result under exact or bounded caching."""
         if distance == INFINITY and cutoff is not None:
-            if cutoff > self._bounded.get(key, 0.0):
+            # Key presence, not a 0.0 default: "farther than 0" is a
+            # verdict too (eps=0).
+            if key not in self._bounded or cutoff > self._bounded[key]:
                 self._bounded[key] = cutoff
             return
         self._cache[key] = distance
@@ -545,27 +474,13 @@ class ShortestPathEngine:
     # ------------------------------------------------------------------
     # Batch interface
     # ------------------------------------------------------------------
-    def prefetch(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        cutoff: float | None = None,
-        workers: int | None = 1,
-    ) -> int:
-        """Compute and cache every not-yet-known pair, possibly in parallel.
+    def _uncached(
+        self, pairs: Iterable[tuple[int, int]], cutoff: float | None
+    ) -> list[tuple[int, int]]:
+        """Normalized keys of ``pairs`` no memo table answers, deduplicated.
 
-        Deduplicates ``pairs`` (after symmetric normalization), drops
-        identities and pairs already answered by the exact or bounded
-        cache, then runs the remaining searches — fanned out over a
-        process pool when ``workers`` allows (see
-        :func:`repro.parallel.map_chunked`).  Results and the
-        ``computations``/``nodes_expanded`` counters merge back into this
-        engine exactly as if :meth:`distance` had computed each pair
-        lazily, and the next :meth:`distance` call per prefetched pair is
-        counted as that computation's delivery rather than a cache hit —
-        so Figure-7 accounting is identical between serial and parallel
-        runs.
-
-        Returns the number of searches executed.
+        Identities are dropped, as are pairs with an exact entry or a
+        bounded verdict at ``cutoff`` or beyond; first-seen order is kept.
         """
         self._drop_if_stale()
         needed: list[tuple[int, int]] = []
@@ -580,6 +495,31 @@ class ShortestPathEngine:
                 continue
             seen.add(key)
             needed.append(key)
+        return needed
+
+    def prefetch(
+        self,
+        pairs: Iterable[tuple[int, int]],
+        cutoff: float | None = None,
+        workers: int | None = 1,
+    ) -> int:
+        """Compute and cache every not-yet-known pair, possibly in parallel.
+
+        Deduplicates ``pairs`` (after symmetric normalization), drops
+        identities and pairs already answered by the exact or bounded
+        cache, then runs the remaining searches — fanned out over a
+        process pool when ``workers`` allows (see
+        :func:`repro.parallel.map_flat`).  Results and the
+        ``computations``/``nodes_expanded`` counters merge back into this
+        engine exactly as if :meth:`distance` had computed each pair
+        lazily, and the next :meth:`distance` call per prefetched pair is
+        counted as that computation's delivery rather than a cache hit —
+        so Figure-7 accounting is identical between serial and parallel
+        runs.
+
+        Returns the number of searches executed.
+        """
+        needed = self._uncached(pairs, cutoff)
         if not needed:
             return 0
         limit = INFINITY if cutoff is None else cutoff
@@ -611,23 +551,11 @@ class ShortestPathEngine:
         ``nodes_expanded``), and delivery accounting matches
         :meth:`prefetch`: the next :meth:`distance` call per answered
         pair is the computation's delivery, not a cache hit — so counters
-        are identical at any worker count and across backends.
+        are identical at any worker count.
 
         Returns the number of searches executed.
         """
-        self._drop_if_stale()
-        needed: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for source, target in pairs:
-            if source == target:
-                continue
-            key = self._key(source, target)
-            if key in seen or key in self._cache:
-                continue
-            if cutoff is not None and self._bounded.get(key, -1.0) >= cutoff:
-                continue
-            seen.add(key)
-            needed.append(key)
+        needed = self._uncached(pairs, cutoff)
         if not needed:
             return 0
         if self.oracle is not None:
@@ -676,48 +604,26 @@ class ShortestPathEngine:
         limit: float,
         workers: int | None,
     ) -> list[tuple[float, int]]:
-        """Run the searches for ``keys``, serially or across processes.
+        """``(distance, settled)`` per key, in order, via :func:`map_flat`.
 
-        The parallel CSR path is zero-copy: workers attach the shared
-        snapshot registered with the persistent pool, and the pair list
-        is shipped as one flat int64 batch segment with per-task
-        (offset, length) descriptors.  The dict backend broadcasts the
-        network once per pool start instead of pickling it per chunk.
+        The pair list is one flat int64 batch (stride 2).  With one
+        effective worker the kernel runs inline over a local view; in a
+        pool, workers attach the shared CSR snapshot registered with the
+        persistent pool and read their span out of one shared-memory
+        segment (see :func:`repro.parallel.map_flat`).
         """
-        from array import array
         from functools import partial
 
-        from ..parallel import (
-            csr_resource,
-            effective_workers,
-            map_chunked,
-            map_flat,
-            network_resource,
-        )
+        from ..parallel import csr_resource, map_flat
 
-        if effective_workers(workers, len(keys), MIN_PAIRS_PER_WORKER) <= 1:
-            if self.backend == "csr":
-                spec: tuple = ("csr", self.network.csr(self.directed))
-            else:
-                spec = ("dict", self.network, self.directed)
-            return _compute_pairs(spec, keys, limit)
-        if self.backend == "csr":
-            flat = array("q", [node for pair in keys for node in pair])
-            return map_flat(
-                partial(_csr_pairs_kernel, limit),
-                "q",
-                flat,
-                range(0, 2 * len(keys) + 1, 2),
-                workers=workers,
-                min_items_per_worker=MIN_PAIRS_PER_WORKER,
-                resource=csr_resource(self.network, self.directed),
-            )
-        return map_chunked(
-            partial(_dict_pairs_chunk, self.directed, limit),
-            keys,
+        return map_flat(
+            partial(_csr_pairs_kernel, limit),
+            "q",
+            array("q", [node for pair in keys for node in pair]),
+            range(0, 2 * len(keys) + 1, 2),
             workers=workers,
             min_items_per_worker=MIN_PAIRS_PER_WORKER,
-            resource=network_resource(self.network),
+            resource=csr_resource(self.network, self.directed),
         )
 
     def _batch_group_search(
@@ -726,52 +632,30 @@ class ShortestPathEngine:
         limit: float,
         workers: int | None,
     ) -> list[tuple[dict[int, float], int]]:
-        """Run the grouped kernels for ``groups``, serially or in a pool.
+        """``(found, settled)`` per group, in order, via :func:`map_flat`.
 
-        Parallel batches follow :meth:`_batch_search`'s zero-copy scheme;
-        each group is flat-encoded as ``[source, n_targets, targets...]``
-        (self-delimiting, so a worker walks exactly its span).
+        Each group is flat-encoded as ``[source, n_targets, targets...]``
+        (self-delimiting, so a kernel walks exactly its span).
         """
-        from array import array
         from functools import partial
 
-        from ..parallel import (
-            csr_resource,
-            effective_workers,
-            map_chunked,
-            map_flat,
-            network_resource,
-        )
+        from ..parallel import csr_resource, map_flat
 
-        if effective_workers(workers, len(groups), MIN_GROUPS_PER_WORKER) <= 1:
-            if self.backend == "csr":
-                spec: tuple = ("csr", self.network.csr(self.directed))
-            else:
-                spec = ("dict", self.network, self.directed)
-            return _compute_groups(spec, groups, limit)
-        if self.backend == "csr":
-            flat = array("q")
-            boundaries = [0]
-            for source, targets in groups:
-                flat.append(source)
-                flat.append(len(targets))
-                flat.extend(targets)
-                boundaries.append(len(flat))
-            return map_flat(
-                partial(_csr_groups_kernel, limit),
-                "q",
-                flat,
-                boundaries,
-                workers=workers,
-                min_items_per_worker=MIN_GROUPS_PER_WORKER,
-                resource=csr_resource(self.network, self.directed),
-            )
-        return map_chunked(
-            partial(_dict_groups_chunk, self.directed, limit),
-            groups,
+        flat = array("q")
+        boundaries = [0]
+        for source, targets in groups:
+            flat.append(source)
+            flat.append(len(targets))
+            flat.extend(targets)
+            boundaries.append(len(flat))
+        return map_flat(
+            partial(_csr_groups_kernel, limit),
+            "q",
+            flat,
+            boundaries,
             workers=workers,
             min_items_per_worker=MIN_GROUPS_PER_WORKER,
-            resource=network_resource(self.network),
+            resource=csr_resource(self.network, self.directed),
         )
 
     # ------------------------------------------------------------------
@@ -841,7 +725,7 @@ class ShortestPathEngine:
             key = self._key(source, target)
             if key in self._cache:
                 continue
-            if bound > self._bounded.get(key, 0.0):
+            if key not in self._bounded or bound > self._bounded[key]:
                 self._bounded[key] = bound
                 added += 1
                 if mark_warm:
@@ -913,57 +797,14 @@ MIN_PAIRS_PER_WORKER = 8
 MIN_GROUPS_PER_WORKER = 4
 
 
-def _compute_pairs(
-    spec: tuple, pairs: list[tuple[int, int]], cutoff: float = INFINITY
-) -> list[tuple[float, int]]:
-    """Worker-side batch: ``(distance, expansions)`` per pair, in order.
-
-    ``spec`` selects the backend payload shipped to the process:
-    ``("csr", CSRGraph)`` or ``("dict", RoadNetwork, directed)``.  Module
-    level so it pickles for :class:`~concurrent.futures.ProcessPoolExecutor`.
-    """
-    if spec[0] == "csr":
-        return spec[1].distance_batch(pairs, cutoff=cutoff, bidirectional=True)
-    _kind, network, directed = spec
-    return [
-        dijkstra_distance_counted(network, a, b, directed=directed, cutoff=cutoff)
-        for a, b in pairs
-    ]
-
-
-def _compute_groups(
-    spec: tuple,
-    groups: list[tuple[int, tuple[int, ...]]],
-    cutoff: float = INFINITY,
-) -> list[tuple[dict[int, float], int]]:
-    """Worker-side batch of grouped kernels: ``(found, settled)`` per group.
-
-    Same backend spec as :func:`_compute_pairs`; module level so it
-    pickles for :class:`~concurrent.futures.ProcessPoolExecutor`.
-    """
-    if spec[0] == "csr":
-        graph = spec[1]
-        return [
-            graph.multi_target_distances(source, targets, cutoff)
-            for source, targets in groups
-        ]
-    _kind, network, directed = spec
-    return [
-        dijkstra_multi_target(
-            network, source, targets, directed=directed, cutoff=cutoff
-        )
-        for source, targets in groups
-    ]
-
-
 def _csr_pairs_kernel(
     cutoff: float, graph, view, lo: int, hi: int
 ) -> list[tuple[float, int]]:
     """Span kernel over a flat pair batch against a shared CSR snapshot.
 
     ``view[lo:hi]`` holds ``(source, target)`` int64 slots back-to-back
-    (stride 2).  ``graph`` is the worker's zero-copy attached snapshot —
-    the searches themselves are identical to :func:`_compute_pairs`.
+    (stride 2).  ``graph`` is the snapshot itself inline, or the
+    worker's zero-copy attached copy in a pool — same searches either way.
     """
     search = graph.bidirectional_distance_counted
     return [
@@ -978,7 +819,7 @@ def _csr_groups_kernel(
 
     Each group is self-delimiting: ``[source, n_targets, targets...]``.
     The kernel walks its ``[lo, hi)`` element range and runs one bounded
-    multi-target search per group, exactly as :func:`_compute_groups`.
+    multi-target search per group.
     """
     results = []
     i = lo
@@ -989,31 +830,3 @@ def _csr_groups_kernel(
         i += 2 + n_targets
         results.append(graph.multi_target_distances(source, targets, cutoff))
     return results
-
-
-def _dict_pairs_chunk(
-    directed: bool,
-    cutoff: float,
-    network,
-    pairs: list[tuple[int, int]],
-) -> list[tuple[float, int]]:
-    """Chunk kernel for the dict backend over a broadcast network."""
-    return [
-        dijkstra_distance_counted(network, a, b, directed=directed, cutoff=cutoff)
-        for a, b in pairs
-    ]
-
-
-def _dict_groups_chunk(
-    directed: bool,
-    cutoff: float,
-    network,
-    groups: list[tuple[int, tuple[int, ...]]],
-) -> list[tuple[dict[int, float], int]]:
-    """Grouped chunk kernel for the dict backend over a broadcast network."""
-    return [
-        dijkstra_multi_target(
-            network, source, targets, directed=directed, cutoff=cutoff
-        )
-        for source, targets in groups
-    ]

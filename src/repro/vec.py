@@ -30,7 +30,7 @@ from .errors import ConfigError
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
 #: Accepted ``vector_backend`` settings.
-VECTOR_BACKENDS = ("auto", "numpy", "python")
+VECTOR_SETTINGS = ("auto", "numpy", "python")
 
 
 def get_numpy():
@@ -56,9 +56,9 @@ def resolve_vector_backend(setting: str = "auto") -> str:
     :class:`~repro.errors.ConfigError` when it cannot be honored, rather
     than silently degrading.
     """
-    if setting not in VECTOR_BACKENDS:
+    if setting not in VECTOR_SETTINGS:
         raise ConfigError(
-            f"vector_backend must be one of {VECTOR_BACKENDS}, got {setting!r}"
+            f"vector_backend must be one of {VECTOR_SETTINGS}, got {setting!r}"
         )
     if setting == "python":
         return "python"

@@ -1,9 +1,9 @@
-"""Equivalence suite: CSR flat-array searches vs the legacy dict backend.
+"""Equivalence suite: CSR flat-array searches vs the dict-walk reference.
 
 Property-style checks over randomly generated networks: CSR Dijkstra,
-bidirectional Dijkstra and the legacy dict-of-lists walkers must return
-identical distances and routes, and engines on either backend must report
-identical ``roadnet.sp.computations``.
+bidirectional Dijkstra and the plain dict-of-lists walkers of
+:mod:`repro.roadnet.shortest_path` must return identical distances and
+routes, and the engine must run one search per uncached pair.
 """
 
 from __future__ import annotations
@@ -187,32 +187,25 @@ class TestDistanceEquivalence:
             assert net.is_route(route.sids) or len(route.sids) == 0
 
     def test_engine_backends_agree(self, seed):
+        """The engine (CSR kernels) agrees with the dict-walk reference,
+        and its memo runs exactly one search per distinct uncached pair."""
         net = random_network(seed)
-        dict_engine = ShortestPathEngine(net, backend="dict")
-        csr_engine = ShortestPathEngine(net, backend="csr")
+        engine = ShortestPathEngine(net)
         pairs = sample_pairs(net, seed, count=50)
         for a, b in pairs:
-            d_dict = dict_engine.distance(a, b)
-            d_csr = csr_engine.distance(a, b)
-            if d_dict == INFINITY:
-                assert d_csr == INFINITY
+            want = dijkstra_distance(net, a, b)
+            got = engine.distance(a, b)
+            if want == INFINITY:
+                assert got == INFINITY
             else:
-                assert d_csr == pytest.approx(d_dict, rel=1e-12)
-        # Identical memo behaviour => identical roadnet.sp.computations.
-        assert dict_engine.computations == csr_engine.computations
-        assert dict_engine.cache_hits == csr_engine.cache_hits
+                assert got == pytest.approx(want, rel=1e-12)
+        keys = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+        identities = sum(1 for a, b in pairs if a == b)
+        assert engine.computations == len(keys)
+        assert engine.cache_hits == len(pairs) - identities - len(keys)
 
 
 class TestEngineBackendSelector:
-    def test_bad_backend_rejected(self):
-        net = random_network(6)
-        with pytest.raises(ValueError):
-            ShortestPathEngine(net, backend="gpu")
-
-    def test_default_backend_is_csr(self):
-        net = random_network(7)
-        assert ShortestPathEngine(net).backend == "csr"
-
     def test_distance_many_matches_loop(self):
         net = random_network(8)
         pairs = sample_pairs(net, 8, count=40) + sample_pairs(net, 8, count=40)

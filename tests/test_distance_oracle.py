@@ -2,7 +2,7 @@
 
 The batched oracle is a pure acceleration: every test here pins either
 exact numeric equivalence with the per-pair searches, deterministic
-counter parity across backends/worker counts, or cluster-output
+counter parity across worker counts, or cluster-output
 invariance across the oracle tiers.
 """
 
@@ -17,15 +17,17 @@ from repro.core.pipeline import NEAT
 from repro.core.serialize import result_to_dict
 from repro.roadnet import (
     INFINITY,
+    Point,
+    RoadNetwork,
     ShortestPathEngine,
     dijkstra_distance,
-    dijkstra_multi_target,
     network_from_edges,
     plan_source_groups,
 )
 from repro.roadnet.shortest_path import dijkstra_distance_counted
 
 from conftest import trajectory_through
+from sp_reference import dijkstra_multi_target
 from test_csr import random_network, sample_pairs
 
 
@@ -144,16 +146,15 @@ class TestGroupedPrefetch:
     def _pairs(self, network, seed):
         return [(a, b) for a, b in sample_pairs(network, seed, count=60) if a != b]
 
-    @pytest.mark.parametrize("backend", ["csr", "dict"])
-    def test_distances_match_lazy_engine(self, backend):
+    def test_distances_match_lazy_engine(self):
         network = random_network(23)
         pairs = self._pairs(network, 23)
         cutoff = 600.0
 
-        lazy = ShortestPathEngine(network, backend=backend)
+        lazy = ShortestPathEngine(network)
         lazy_values = [lazy.distance(a, b, cutoff=cutoff) for a, b in pairs]
 
-        grouped = ShortestPathEngine(network, backend=backend)
+        grouped = ShortestPathEngine(network)
         grouped.prefetch_grouped(pairs, cutoff=cutoff)
         grouped_values = [grouped.distance(a, b, cutoff=cutoff) for a, b in pairs]
 
@@ -181,18 +182,32 @@ class TestGroupedPrefetch:
         assert serial.export_cache() == parallel.export_cache()
 
     def test_backend_counter_parity(self):
-        """Grouped searches are unidirectional on both backends, so the
-        executed-search and settled-node accounting must agree exactly."""
+        """Grouped searches are unidirectional, so the engine's executed-
+        search and settled-node accounting must equal the plain
+        dict-walk reference run over the same planned groups."""
         network = random_network(37)
         pairs = self._pairs(network, 37)
-        engines = {}
-        for backend in ("csr", "dict"):
-            engine = ShortestPathEngine(network, backend=backend)
-            engine.prefetch_grouped(pairs, cutoff=700.0)
-            engines[backend] = engine
-        assert engines["csr"].computations == engines["dict"].computations
-        assert engines["csr"].nodes_expanded == engines["dict"].nodes_expanded
-        assert engines["csr"].export_cache() == engines["dict"].export_cache()
+        cutoff = 700.0
+        engine = ShortestPathEngine(network)
+        engine.prefetch_grouped(pairs, cutoff=cutoff)
+        keys = {(a, b) if a <= b else (b, a) for a, b in pairs}
+        groups = plan_source_groups(sorted(keys))
+        expanded = 0
+        exact, bounded = {}, {}
+        for source, targets in groups:
+            found, settled = dijkstra_multi_target(
+                network, source, targets, cutoff=cutoff
+            )
+            expanded += settled
+            for target in targets:
+                key = (min(source, target), max(source, target))
+                if target in found:
+                    exact[key] = found[target]
+                else:
+                    bounded[key] = cutoff
+        assert engine.computations == len(groups)
+        assert engine.nodes_expanded == expanded
+        assert engine.export_cache() == (exact, bounded)
 
     def test_prefetched_delivery_is_not_a_cache_hit(self):
         network = random_network(41)
@@ -205,6 +220,90 @@ class TestGroupedPrefetch:
         assert engine.cache_hits == hits_before  # prepaid deliveries
         engine.distance(*pairs[0], cutoff=700.0)
         assert engine.cache_hits == hits_before + 1  # genuine re-ask
+
+
+def one_way_network(seed: int, rows: int = 6, cols: int = 7):
+    """A jittered grid where about a third of the segments are one-way."""
+    rng = random.Random(seed)
+    network = RoadNetwork(name=f"one-way-{seed}")
+    for r in range(rows):
+        for c in range(cols):
+            network.add_junction(Point(
+                c * 100 + rng.uniform(-25, 25), r * 100 + rng.uniform(-25, 25)
+            ))
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            neighbours = []
+            if c + 1 < cols:
+                neighbours.append(i + 1)
+            if r + 1 < rows:
+                neighbours.append(i + cols)
+            for j in neighbours:
+                u, v = (i, j) if rng.random() < 0.5 else (j, i)
+                network.add_segment(u, v, bidirectional=rng.random() < 0.65)
+    return network
+
+
+class TestDirectedEngineParity:
+    """Directed engines through the pooled CSR kernels: the directed
+    snapshot (with its reverse adjacency) is what workers attach."""
+
+    @pytest.fixture
+    def small_batches_pool(self, monkeypatch):
+        import repro.roadnet.shortest_path as sp_module
+
+        monkeypatch.setattr(sp_module, "MIN_PAIRS_PER_WORKER", 1)
+        monkeypatch.setattr(sp_module, "MIN_GROUPS_PER_WORKER", 1)
+
+    @pytest.mark.parametrize("method", ["prefetch", "prefetch_grouped"])
+    def test_serial_and_pooled_match_reference(self, small_batches_pool, method):
+        from repro.parallel import pool_counters
+
+        network = one_way_network(71)
+        assert sum(not s.bidirectional for s in network.segments()) >= 5
+        pairs = [(a, b) for a, b in sample_pairs(network, 71, count=80) if a != b]
+        cutoff = 450.0
+        engines = {}
+        for workers in (1, 2):
+            segments = pool_counters().get("pool.shm_segments", 0)
+            engine = ShortestPathEngine(network, directed=True)
+            getattr(engine, method)(pairs, cutoff=cutoff, workers=workers)
+            ran_pooled = pool_counters().get("pool.shm_segments", 0) > segments
+            assert ran_pooled == (workers > 1)
+            for a, b in pairs:
+                want, _ = dijkstra_distance_counted(
+                    network, a, b, directed=True, cutoff=cutoff
+                )
+                got = engine.distance(a, b, cutoff=cutoff)
+                if want == INFINITY:
+                    assert got == INFINITY, (a, b)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12), (a, b)
+            engines[workers] = engine
+        serial, pooled = engines[1], engines[2]
+        assert serial.computations == pooled.computations
+        assert serial.nodes_expanded == pooled.nodes_expanded
+        assert serial.cache_hits == pooled.cache_hits
+        assert serial.export_cache() == pooled.export_cache()
+
+
+class TestZeroEps:
+    """``eps=0`` without the ELB: every surviving pair gets a bounded
+    verdict at cutoff 0, which must be cached and delivered like any
+    other."""
+
+    def test_prefetched_pairs_all_delivered(self, small_workload):
+        network, dataset = small_workload
+        engines = {}
+        for oracle in ("pairwise", "tiered"):
+            neat = NEAT(network, NEATConfig(
+                eps=0.0, use_elb=False, min_card=0, sp_oracle=oracle
+            ))
+            neat.run_opt(list(dataset))
+            assert not neat.engine._prepaid, oracle
+            engines[oracle] = neat.engine
+        assert engines["tiered"].computations < engines["pairwise"].computations
 
 
 def _digest(result) -> str:
@@ -322,7 +421,7 @@ class TestLandmarkBoundsMemo:
 
     def test_directed_engines_refuse_landmarks(self):
         network = random_network(47)
-        engine = ShortestPathEngine(network, directed=True, backend="dict")
+        engine = ShortestPathEngine(network, directed=True)
         with pytest.raises(ValueError):
             engine.landmark_bounds()
 

@@ -52,10 +52,6 @@ class TestWorkerResolution:
         with pytest.raises(ConfigError):
             NEATConfig(workers=-2)
 
-    def test_config_validates_backend(self):
-        with pytest.raises(ConfigError):
-            NEATConfig(sp_backend="quantum")
-
 
 class TestChunking:
     def test_split_chunks_partition(self):
@@ -95,6 +91,7 @@ def _force_small_thresholds(monkeypatch):
     """Let tiny test workloads actually reach the process pool."""
     monkeypatch.setattr(fragmentation_module, "MIN_TRAJECTORIES_PER_WORKER", 1)
     monkeypatch.setattr(sp_module, "MIN_PAIRS_PER_WORKER", 1)
+    monkeypatch.setattr(sp_module, "MIN_GROUPS_PER_WORKER", 1)
 
 
 def _cluster_key(result):
@@ -127,47 +124,38 @@ class TestPhase1Parallel:
 
 
 class TestPipelineAgreement:
-    """Acceptance: identical output across backends and worker counts."""
+    """Acceptance: identical output across oracles and worker counts."""
 
     def test_workers_and_backends_agree(self, workload, monkeypatch):
+        """Both engine search shapes — grouped kernels (``tiered``) and
+        per-pair searches (``pairwise``) — serial and pooled."""
         _force_small_thresholds(monkeypatch)
         network, dataset = workload
         results = {}
         engines = {}
-        for label, workers, backend in (
-            ("serial-csr", 1, "csr"),
-            ("parallel-csr", 4, "csr"),
-            ("serial-dict", 1, "dict"),
-            ("parallel-dict", 4, "dict"),
-        ):
-            neat = NEAT(
-                network,
-                NEATConfig(eps=1500.0, workers=workers, sp_backend=backend),
-            )
-            results[label] = neat.run_opt(dataset)
-            engines[label] = neat.engine
+        for oracle in ("tiered", "pairwise"):
+            for mode, workers in (("serial", 1), ("parallel", 4)):
+                neat = NEAT(
+                    network,
+                    NEATConfig(eps=1500.0, workers=workers, sp_oracle=oracle),
+                )
+                results[mode, oracle] = neat.run_opt(dataset)
+                engines[mode, oracle] = neat.engine
         keys = {label: _cluster_key(result) for label, result in results.items()}
-        assert keys["serial-csr"] == keys["parallel-csr"]
-        assert keys["serial-csr"] == keys["serial-dict"]
-        assert keys["serial-dict"] == keys["parallel-dict"]
+        assert len(set(map(str, keys.values()))) == 1
 
         # Figure-7 accounting is exact: parallel prefetching must not
         # change what the engine reports having done.
-        for backend in ("csr", "dict"):
-            serial = engines[f"serial-{backend}"]
-            parallel = engines[f"parallel-{backend}"]
+        for oracle in ("tiered", "pairwise"):
+            serial = engines["serial", oracle]
+            parallel = engines["parallel", oracle]
             assert serial.computations == parallel.computations
             assert serial.cache_hits == parallel.cache_hits
             assert serial.nodes_expanded == parallel.nodes_expanded
-        assert (
-            results["serial-csr"].refinement_stats
-            == results["parallel-csr"].refinement_stats
-        )
-        # Both backends run the same memoized searches.
-        assert (
-            engines["serial-csr"].computations
-            == engines["serial-dict"].computations
-        )
+            assert (
+                results["serial", oracle].refinement_stats
+                == results["parallel", oracle].refinement_stats
+            )
 
     def test_elb_disabled_agreement(self, workload, monkeypatch):
         _force_small_thresholds(monkeypatch)

@@ -244,10 +244,9 @@ class TestEngineCutoff:
         net.add_junction(Point(10, 0))
         net.add_junction(Point(900, 900))
         net.add_segment(0, 1)
-        for backend in ("dict", "csr"):
-            engine = ShortestPathEngine(net, backend=backend)
-            assert engine.distance(0, 2, cutoff=50.0) == INFINITY
-            assert engine.distance(0, 2) == INFINITY
+        engine = ShortestPathEngine(net)
+        assert engine.distance(0, 2, cutoff=50.0) == INFINITY
+        assert engine.distance(0, 2) == INFINITY
 
     def test_clear_drops_bounded_cache(self, square):
         engine = ShortestPathEngine(square)
@@ -256,6 +255,38 @@ class TestEngineCutoff:
         engine.distance(1, 3, cutoff=10.0)
         assert engine.computations == 1  # searched again, no cached verdict
         assert engine.cache_hits == 0
+
+
+class TestZeroCutoffVerdict:
+    """``cutoff=0.0`` (Phase 3 at ``eps=0``) proves "farther than 0"
+    like any other bound, and that verdict is cached."""
+
+    def test_repeat_query_is_a_cache_hit(self, square):
+        engine = ShortestPathEngine(square)
+        assert engine.distance(1, 3, cutoff=0.0) == INFINITY
+        assert engine.distance(3, 1, cutoff=0.0) == INFINITY
+        assert engine.computations == 1
+        assert engine.cache_hits == 1
+        assert engine.export_cache() == ({}, {(1, 3): 0.0})
+
+    @pytest.mark.parametrize("method", ["prefetch", "prefetch_grouped"])
+    def test_prefetch_and_delivery_count_one_computation(self, square, method):
+        engine = ShortestPathEngine(square)
+        assert getattr(engine, method)([(1, 3)], cutoff=0.0) == 1
+        assert getattr(engine, method)([(1, 3)], cutoff=0.0) == 0
+        assert engine.distance(1, 3, cutoff=0.0) == INFINITY
+        assert engine.computations == 1
+        assert engine.cache_hits == 0  # the delivery, not a hit
+        assert not engine._prepaid
+        assert engine.distance(1, 3, cutoff=0.0) == INFINITY
+        assert engine.cache_hits == 1
+
+    def test_absorbed_zero_bound_is_kept(self, square):
+        engine = ShortestPathEngine(square)
+        assert engine.absorb_cache({}, {(3, 1): 0.0}) == 1
+        assert engine.distance(1, 3, cutoff=0.0) == INFINITY
+        assert engine.computations == 0
+        assert engine.warm_hits == 1
 
 
 class TestEngineNetworkMutation:

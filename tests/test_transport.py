@@ -31,13 +31,13 @@ from repro.distributed.transport import (
     FRAME_MAGIC,
     FrameError,
     TornFrame,
-    clusters_from_wire,
-    clusters_to_wire,
+    clusters_from_packed,
+    clusters_to_packed,
     decode_frame,
     encode_frame,
     read_frame,
-    trajectories_from_wire,
-    trajectories_to_wire,
+    trajectories_from_packed,
+    trajectories_to_packed,
 )
 from repro.errors import HandshakeFailed, NodeDown, TransportError
 from repro.obs import Telemetry
@@ -90,18 +90,18 @@ class TestFrameCodec:
             trajectory_through(line3, 7, [0, 1, 2]),
             trajectory_through(line3, 9, [2, 1]),
         ]
-        rows = trajectories_to_wire(trajectories)
-        json.dumps(rows)  # must be JSON-serializable as-is
-        assert trajectories_from_wire(rows) == trajectories
+        packed = trajectories_to_packed(trajectories)
+        json.dumps(packed)  # must be JSON-serializable as-is
+        assert trajectories_from_packed(packed) == trajectories
 
     def test_cluster_wire_roundtrip(self, line3):
         from repro.core.base_cluster import form_base_clusters
 
         trajectories = [trajectory_through(line3, i, [0, 1, 2]) for i in range(4)]
         clusters = form_base_clusters(line3, trajectories)
-        rows = clusters_to_wire(clusters)
-        json.dumps(rows)
-        restored = clusters_from_wire(rows)
+        packed = clusters_to_packed(clusters)
+        json.dumps(packed)
+        restored = clusters_from_packed(packed)
         assert [c.sid for c in restored] == [c.sid for c in clusters]
         assert [c.fragments for c in restored] == [c.fragments for c in clusters]
 
@@ -128,13 +128,34 @@ class TestShardRPC:
         client = TransportClient(shard.host, shard.port)
         result = client.call(
             "preprocess",
-            {"trajectories": trajectories_to_wire(trajectories),
+            {"trajectories_packed": trajectories_to_packed(trajectories),
              "keep_interior_points": False},
         )
-        remote = clusters_from_wire(result["clusters"])
+        remote = clusters_from_packed(result["clusters_packed"])
         local = form_base_clusters(line3, trajectories)
         assert [c.sid for c in remote] == [c.sid for c in local]
         assert [c.fragments for c in remote] == [c.fragments for c in local]
+
+    def test_preprocess_without_packed_is_protocol_error(self, line3, shard):
+        from repro.core.base_cluster import form_base_clusters
+
+        trajectories = [trajectory_through(line3, 0, [0, 1, 2])]
+        client = TransportClient(shard.host, shard.port)
+        rows = {"trajectories": [{"trid": 0, "locations": []}]}
+        with pytest.raises(TransportError) as excinfo:
+            client.call("preprocess", rows)
+        assert excinfo.value.kind == "protocol"
+        assert "trajectories_packed" in str(excinfo.value)
+        # The same connection keeps serving: no reconnect, no new socket.
+        result = client.call(
+            "preprocess",
+            {"trajectories_packed": trajectories_to_packed(trajectories)},
+        )
+        assert len(clusters_from_packed(result["clusters_packed"])) == len(
+            form_base_clusters(line3, trajectories)
+        )
+        assert shard.connections == 1
+        assert shard.preprocess_calls == 1
 
     def test_stats_counts_requests(self, line3, shard):
         client = TransportClient(shard.host, shard.port)

@@ -4,7 +4,8 @@ Three parity axes, each of which the zero-copy core could plausibly
 break and therefore must be pinned:
 
 * worker count — shared-memory CSR kernels vs serial inline runs;
-* shortest-path backend — shared CSR vs the broadcast dict network;
+* engine search shape — grouped kernels vs per-pair searches, both
+  through the shared CSR snapshot;
 * vector backend — the numpy bound kernels vs the stdlib loops
   (hypothesis drives the ELB guard band with adversarial coordinates
   right at the eps boundary).
@@ -178,7 +179,7 @@ class TestVectorBackendResolution:
 
 
 # ----------------------------------------------------------------------
-# Whole-pipeline parity: worker counts x sp backends x vector backends.
+# Whole-pipeline parity: worker counts x sp oracles x vector backends.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def workload():
@@ -224,13 +225,13 @@ class TestPipelineParity:
         _force_small_thresholds(monkeypatch)
         network, dataset = workload
         keys = {}
-        for backend in ("csr", "dict"):
+        for oracle in ("tiered", "pairwise"):
             for workers in (1, 3):
                 neat = NEAT(
                     network,
-                    NEATConfig(eps=1400.0, workers=workers, sp_backend=backend),
+                    NEATConfig(eps=1400.0, workers=workers, sp_oracle=oracle),
                 )
-                keys[(backend, workers)] = _run_key(neat.run_opt(dataset))
+                keys[(oracle, workers)] = _run_key(neat.run_opt(dataset))
         assert len(set(map(str, keys.values()))) == 1
 
     def test_vector_backends_match(self, workload, monkeypatch):
